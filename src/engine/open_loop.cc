@@ -211,6 +211,10 @@ OpenLoopSourceReport OpenLoopDriver::RunSource(const Source& source) {
     if (options_.pace) {
       const uint64_t before = clock_->NowMicros();
       if (before < when[pos]) {
+        // About to idle: publish the partial emit batches first, so no
+        // injected message waits for its batch to fill. Overload never
+        // reaches this branch, so batching under load is unchanged.
+        rt_->Flush(spout_, source.source);
         WaitUntil(when[pos]);
       } else {
         ++report.late_batches;
@@ -258,6 +262,8 @@ OpenLoopSourceReport OpenLoopDriver::RunSource(const Source& source) {
     report.injected += count;
     pos += count;
   }
+  // The schedule ran out: the paced injector idles from here on too.
+  if (options_.pace && !report.aborted) rt_->Flush(spout_, source.source);
   return report;
 }
 

@@ -161,10 +161,13 @@ class LatencySink final : public Operator {
 /// \brief Options for the open-loop driver.
 struct OpenLoopOptions {
   /// Follow the schedule on the wall clock (sleep until each arrival is
-  /// due; messages already due are injected together). When false, the
-  /// whole schedule is replayed as fast as possible — arrival stamps and
-  /// kVirtualService latencies are identical either way; only the wall
-  /// metrics differ.
+  /// due; messages already due are injected together). A paced source
+  /// calls ThreadedRuntime::Flush before every wait and once when its
+  /// schedule runs out, so a message never sits in a partial emit batch
+  /// while its injector idles. When false, the whole schedule is replayed
+  /// as fast as possible and never flushed (Finish publishes the rest) —
+  /// arrival stamps and kVirtualService latencies are identical either
+  /// way; only the wall metrics differ.
   bool pace = true;
   /// Max messages per InjectBatch call (and schedule/key lookahead).
   size_t max_batch = 256;

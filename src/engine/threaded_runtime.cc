@@ -369,19 +369,15 @@ void ThreadedRuntime::RunShard(uint32_t shard) {
       std::this_thread::yield();
     } else {
       // Shard-granularity park: producers into any owned mailbox wake
-      // this gate. Re-check after BeginPark (SizeApprox suffices — a
-      // missed publication costs one bounded 200us wait, same contract as
-      // the instance-thread park).
-      st.gate.BeginPark();
-      bool pending = false;
-      for (const ShardInstance& si : st.instances) {
-        if (!si.done && si.mailbox->SizeApprox() > 0) {
-          pending = true;
-          break;
+      // this gate. SizeApprox's relaxed loads suffice for the re-check:
+      // the gate's protocol makes every publication it must see happen
+      // before it (see ConsumerGate).
+      st.gate.ParkUnless([&st] {
+        for (const ShardInstance& si : st.instances) {
+          if (!si.done && si.mailbox->SizeApprox() > 0) return true;
         }
-      }
-      if (!pending) st.gate.WaitBriefly();
-      st.gate.EndPark();
+        return false;
+      });
       idle_sweeps = 0;
     }
   }
@@ -544,24 +540,30 @@ void ThreadedRuntime::SendEos(uint32_t node, uint32_t instance) {
   }
 }
 
-void ThreadedRuntime::Inject(NodeId spout, SourceId source, Message msg) {
+std::unique_lock<std::mutex> ThreadedRuntime::LockSource(NodeId spout,
+                                                         SourceId source,
+                                                         const char* call) {
   PKGSTREAM_CHECK(!finished_.load(std::memory_order_acquire))
-      << "Inject after Finish";
+      << call << " after Finish";
   PKGSTREAM_CHECK(spout.index < topology_->nodes().size());
   PKGSTREAM_CHECK(topology_->nodes()[spout.index].is_spout);
   PKGSTREAM_CHECK(source < topology_->nodes()[spout.index].parallelism);
-  // Each spout instance is one logical producer: its partitioner replicas
-  // and rings are single-threaded state, so concurrent Inject calls for
-  // the same source serialize here (uncontended in the canonical
+  // Each spout instance is one logical producer: its partitioner replicas,
+  // out-buffers and rings are single-threaded state, so concurrent calls
+  // for the same source serialize here (uncontended in the canonical
   // one-thread-per-source arrangement).
-  std::lock_guard<std::mutex> lock(*inject_mutexes_[spout.index][source]);
+  std::unique_lock<std::mutex> lock(*inject_mutexes_[spout.index][source]);
   // Re-validate under the lock: Finish() may have won the race since the
-  // unlocked check above and already sent this source's EOS, in which
-  // case pushing would silently lose the message (or hang on a full ring
-  // nobody drains). Failing loudly keeps the must-not-race contract
-  // checkable.
+  // unlocked check and already sent this source's EOS, in which case
+  // pushing would silently lose messages (or hang on a full ring nobody
+  // drains). Failing loudly keeps the must-not-race contract checkable.
   PKGSTREAM_CHECK(!finished_.load(std::memory_order_acquire))
-      << "Inject raced with Finish";
+      << call << " raced with Finish";
+  return lock;
+}
+
+void ThreadedRuntime::Inject(NodeId spout, SourceId source, Message msg) {
+  auto lock = LockSource(spout, source, "Inject");
   processed_[processed_base_[spout.index] + source].value.fetch_add(
       1, std::memory_order_relaxed);
   RouteFrom(spout.index, source, std::move(msg));
@@ -569,21 +571,20 @@ void ThreadedRuntime::Inject(NodeId spout, SourceId source, Message msg) {
 
 void ThreadedRuntime::InjectBatch(NodeId spout, SourceId source,
                                   const Message* msgs, size_t n) {
-  PKGSTREAM_CHECK(!finished_.load(std::memory_order_acquire))
-      << "Inject after Finish";
-  PKGSTREAM_CHECK(spout.index < topology_->nodes().size());
-  PKGSTREAM_CHECK(topology_->nodes()[spout.index].is_spout);
-  PKGSTREAM_CHECK(source < topology_->nodes()[spout.index].parallelism);
-  if (n == 0) return;  // validated no-op, same as LogicalRuntime's
   // One lock acquisition, one counter update and one RouteBatch per
-  // outbound edge cover the whole batch (see Inject for the locking
-  // contract).
-  std::lock_guard<std::mutex> lock(*inject_mutexes_[spout.index][source]);
-  PKGSTREAM_CHECK(!finished_.load(std::memory_order_acquire))
-      << "Inject raced with Finish";
+  // outbound edge cover the whole batch. No flush at the end: publishing
+  // every partial buffer after each batch would give up emit batching
+  // under load; idle injectors call Flush instead.
+  auto lock = LockSource(spout, source, "Inject");
+  if (n == 0) return;  // validated no-op, same as LogicalRuntime's
   processed_[processed_base_[spout.index] + source].value.fetch_add(
       n, std::memory_order_relaxed);
   RouteBatchFrom(spout.index, source, msgs, n);
+}
+
+void ThreadedRuntime::Flush(NodeId spout, SourceId source) {
+  auto lock = LockSource(spout, source, "Flush");
+  FlushOutBuffers(spout.index, source);
 }
 
 Status ThreadedRuntime::ReconfigureWorkers(NodeId downstream,

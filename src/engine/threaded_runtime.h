@@ -16,8 +16,9 @@
 //  * the producer side batches too: each upstream instance parks routed
 //    messages in a per-(edge, destination) out-buffer and publishes them
 //    with one SpscRing::TryPushBatch when the batch fills, when its input
-//    round ends, or at EOS/Finish (ThreadedRuntimeOptions::emit_batch) —
-//    one ring-index publication and at most one wakeup per batch;
+//    round ends (operators), on Flush() (spouts), or at EOS/Finish
+//    (ThreadedRuntimeOptions::emit_batch) — one ring-index publication and
+//    at most one wakeup per batch;
 //  * every upstream *instance* owns its own partitioner replica
 //    (Partitioner::Clone via MakePartitionerReplicas), so routing takes no
 //    lock and PKG/local-estimator state is genuinely per-source — the
@@ -90,10 +91,11 @@ struct ThreadedRuntimeOptions {
   /// one SpscRing::TryPushBatch — one index publication (and at most one
   /// consumer wakeup) per batch instead of per message. 1 disables
   /// batching. Buffers are flushed when full, after every consumed input
-  /// batch (operators), and at Finish (spouts), so totals are unaffected;
-  /// only the *moment* a message becomes visible downstream shifts — in
-  /// particular, messages injected at a spout may sit in its out-buffer
-  /// until the batch fills or Finish() runs. Must be >= 1.
+  /// batch (operators), and on Flush() or at Finish() (spouts), so totals
+  /// are unaffected; only the *moment* a message becomes visible
+  /// downstream shifts — messages injected at a spout sit in its
+  /// out-buffer until the batch fills, Flush() runs for that source, or
+  /// Finish() runs. Must be >= 1.
   size_t emit_batch = 16;
 
   /// 0 = thread-per-instance (the default, unchanged). > 0 = sharded
@@ -145,6 +147,15 @@ class ThreadedRuntime {
   /// downstream in batches (same flush points as scalar injection).
   void InjectBatch(NodeId spout, SourceId source, const Message* msgs,
                    size_t n);
+
+  /// Thread-safe: publishes every message `spout` instance `source` has
+  /// buffered (its partial emit batches) downstream, so none waits for a
+  /// batch to fill or for Finish(). Serialized with Inject/InjectBatch on
+  /// the same source; may block on a full downstream ring. Same argument
+  /// contract as Inject. Injectors call it when they are about to idle
+  /// (OpenLoopDriver does, before every wait); calling it after every
+  /// batch would give up the emit batching.
+  void Flush(NodeId spout, SourceId source);
 
   /// Sends EOS down every spout edge, waits for all instance threads to
   /// drain, Close() and exit. Idempotent and safe to call concurrently:
@@ -216,38 +227,56 @@ class ThreadedRuntime {
   /// so any producer push wakes the shard).
   ///
   /// Producers take the wake mutex only when the parked flag is visible,
-  /// so steady-state traffic pays no lock and no syscall. The park uses a
-  /// bounded wait: a lost wakeup in the flag race costs bounded latency,
-  /// never a hang.
+  /// so steady-state traffic pays no lock and no syscall.
+  ///
+  /// No lost wakeups. Producer: publish the ring tail (release), then read
+  /// parked_. Consumer: set parked_, then re-check the ring tails. This is
+  /// a store-buffering pair; with a plain store and load on each side both
+  /// may miss the other's store (on x86 a release store followed by a load
+  /// of another location is free to reorder). Here every access to parked_
+  /// is an acq_rel read-modify-write, so its modification order is one
+  /// chain of RMWs and every RMW reads its predecessor:
+  ///  * producer's RMW before the consumer's announcing RMW: the consumer
+  ///    reads from the producer's release sequence, so the publication
+  ///    happens-before the re-check, which therefore sees the items;
+  ///  * otherwise the producer reads that announcement (and notifies) or
+  ///    the end of that park (the consumer polls again before it can
+  ///    announce its next park, which then falls under the first case).
+  /// The consumer holds wake_mu_ from the announcement until it waits, and
+  /// the producer takes wake_mu_ before notifying, so the notify cannot
+  /// fall between the re-check and the wait either. (A seq_cst fence on
+  /// each side would do the same but is not modelled by ThreadSanitizer.)
+  /// The 200 µs bound on the wait is only a backstop.
   class ConsumerGate {
    public:
-    /// Producer side: nudges a parked consumer (cheap flag check first).
+    /// Producer side, after publishing: nudges a parked consumer.
     void MaybeWake() {
-      if (parked_.load(std::memory_order_seq_cst)) {
-        // Empty critical section: orders the notify after the consumer's
-        // decision to wait (it holds the mutex while deciding).
+      if (parked_.fetch_add(0, std::memory_order_acq_rel) != 0) {
+        // Empty critical section: the consumer holds the mutex from
+        // announcing the park until it waits, so this notify lands after
+        // the wait began (or after the park ended).
         { std::lock_guard<std::mutex> lock(wake_mu_); }
         wake_cv_.notify_one();
       }
     }
 
-    /// Consumer side: announce the intent to park. The caller must
-    /// re-check its rings *after* this store (seq_cst orders it against
-    /// producers' index publications) before calling WaitBriefly.
-    void BeginPark() { parked_.store(true, std::memory_order_seq_cst); }
-
-    /// Consumer side: bounded wait for a producer nudge (or timeout).
-    void WaitBriefly() {
+    /// Consumer side: announces the park, then re-checks with `recheck`
+    /// (returns whether work arrived) and, only when it found none, waits
+    /// for a producer nudge or the bounded timeout. Returns the re-check's
+    /// result.
+    template <typename Recheck>
+    bool ParkUnless(Recheck&& recheck) {
       std::unique_lock<std::mutex> lock(wake_mu_);
-      wake_cv_.wait_for(lock, std::chrono::microseconds(200));
+      parked_.exchange(1, std::memory_order_acq_rel);
+      const bool ready = recheck();
+      if (!ready) wake_cv_.wait_for(lock, std::chrono::microseconds(200));
+      parked_.exchange(0, std::memory_order_acq_rel);
+      return ready;
     }
 
-    /// Consumer side: leave the parked state (after WaitBriefly or a
-    /// successful re-check).
-    void EndPark() { parked_.store(false, std::memory_order_relaxed); }
-
    private:
-    std::atomic<bool> parked_{false};
+    /// 1 while the consumer is parked; only ever modified by RMWs.
+    std::atomic<uint32_t> parked_{0};
     std::mutex wake_mu_;
     std::condition_variable wake_cv_;
   };
@@ -310,14 +339,13 @@ class ThreadedRuntime {
         // Checked while empty, before parking: an aborted run's producers
         // may never push again, so waiting on them would hang forever.
         if (aborted.load(std::memory_order_acquire)) return 0;
-        gate_->BeginPark();
-        const size_t got = TryPopAnyRing(out, max_n);
-        if (got > 0) {
-          gate_->EndPark();
+        size_t got = 0;
+        if (gate_->ParkUnless([&] {
+              got = TryPopAnyRing(out, max_n);
+              return got > 0;
+            })) {
           return got;
         }
-        gate_->WaitBriefly();
-        gate_->EndPark();
       }
     }
 
@@ -380,6 +408,12 @@ class ThreadedRuntime {
   };
 
   Status Init();
+  /// Checks the argument contract of Inject/InjectBatch/Flush (a live
+  /// runtime, a spout, a valid source; `call` names the caller in the
+  /// fatal message), then takes the source's inject mutex and re-checks
+  /// under it that Finish() has not started.
+  std::unique_lock<std::mutex> LockSource(NodeId spout, SourceId source,
+                                          const char* call);
   /// Applies any pending worker-set epoch of edge `e` to upstream instance
   /// `instance`'s replica; called by the producing thread at batch
   /// boundaries (top of RouteFrom / RouteBatchFrom).

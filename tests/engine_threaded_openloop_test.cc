@@ -173,6 +173,32 @@ TEST(ThreadedOpenLoopTest, PacedDriverReportsScheduleLag) {
   EXPECT_EQ(out.processed, 5000u);
 }
 
+TEST(ThreadedOpenLoopTest, PacedSparseTrafficIsNotHeldInEmitBatches) {
+  // A few messages 20 ms apart spread over 4 wall-clock sinks never fill
+  // a default emit batch; the paced driver publishes before each wait, so
+  // each is delivered in far less than the gap instead of at Finish.
+  // Latency counts from the scheduled time, so an injector that overslept
+  // (a loaded or sanitizer-slowed host) adds its own lag; that lag is
+  // allowed for, the time spent buffered is not.
+  const uint64_t n = 6;
+  OpenLoopClock clock;
+  LatencySink::Options sink_options;
+  sink_options.model = LatencySink::ServiceModel::kWallClock;
+  sink_options.clock = &clock;
+  workload::ConstantRateSchedule schedule(50.0);  // gap 20 ms
+  workload::IidKeyStream keys(TestDist(), 13);
+  OpenLoopDriver::Source source{0, &schedule, &keys, n};
+  OpenLoopOptions driver_options;
+  driver_options.pace = true;
+  RunOutcome out =
+      RunOpenLoop(sink_options, partition::Technique::kShuffle, 4, {source},
+                  driver_options, &clock, 1024);
+  EXPECT_EQ(out.processed, n);
+  ASSERT_EQ(out.hist.count(), n);
+  EXPECT_LT(out.hist.max(), out.reports[0].max_lag_us + 10000u)
+      << "a message waited for its batch";
+}
+
 TEST(ThreadedOpenLoopStressTest, MultiSourceWallClockBackpressure) {
   // The TSan workhorse: several injector threads racing real wall-clock
   // sinks through tiny rings (forced backpressure), every message's ts

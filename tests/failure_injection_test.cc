@@ -211,6 +211,28 @@ TEST(FailureInjectionDeathTest, ThreadedInjectAfterFinishDies) {
   EXPECT_DEATH((*rt)->Inject(engine::NodeId{0}, 0, m), "Finish");
 }
 
+TEST(FailureInjectionDeathTest, ThreadedFlushOfNonSpoutDies) {
+  engine::Topology topo = MakeNopTopology();
+  auto rt = engine::ThreadedRuntime::Create(&topo);
+  ASSERT_TRUE(rt.ok());
+  EXPECT_DEATH((*rt)->Flush(engine::NodeId{1}, 0), "is_spout");
+}
+
+TEST(FailureInjectionDeathTest, ThreadedFlushOfUnknownSourceDies) {
+  engine::Topology topo = MakeNopTopology();
+  auto rt = engine::ThreadedRuntime::Create(&topo);
+  ASSERT_TRUE(rt.ok());
+  EXPECT_DEATH((*rt)->Flush(engine::NodeId{0}, 1), "parallelism");
+}
+
+TEST(FailureInjectionDeathTest, ThreadedFlushAfterFinishDies) {
+  engine::Topology topo = MakeNopTopology();
+  auto rt = engine::ThreadedRuntime::Create(&topo);
+  ASSERT_TRUE(rt.ok());
+  (*rt)->Finish();
+  EXPECT_DEATH((*rt)->Flush(engine::NodeId{0}, 0), "Flush after Finish");
+}
+
 TEST(FailureInjectionDeathTest, FinishDeadlineDumpsStateAndAborts) {
   // A consumer wedged inside Process forever: Finish() with a deadline must
   // dump the per-instance last-progress picture and abort loudly instead of
